@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-snapshot golden fuzz docs timeline metricsdiff chaos profiles experiments trend render trend-snapshot obsparity serve
+.PHONY: check fmt vet build test race bench golden fuzz docs timeline metricsdiff chaos profiles experiments trend render trend-snapshot serve
 
-check: fmt vet build test race timeline metricsdiff chaos profiles experiments obsparity serve trend docs
+check: fmt vet build test race timeline metricsdiff chaos profiles experiments serve trend docs
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -22,23 +22,16 @@ test:
 	$(GO) test ./...
 
 # The engine couples each simulated processor to a goroutine, and the
-# parallel engine runs shard workers on real OS threads: the race
-# detector over the whole tree (short mode trims the heavyweight app
-# inputs) is the cheapest way to catch an accidental shared write.
+# experiment pool and job server run whole simulations concurrently:
+# the race detector over the whole tree (short mode trims the
+# heavyweight app inputs) is the cheapest way to catch an accidental
+# shared write.
 race:
 	$(GO) test -race -short ./...
 
 # Engine throughput benchmark (see EXPERIMENTS.md for the methodology).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineEventsPerSec -benchtime 20x -count 3 .
-
-# Parallel-engine scaling snapshot: events/sec across 64/128/256-node
-# meshes at 1/2/4/8 engine workers, written to BENCH_parallel_engine.json
-# (atomically). Every cell is fingerprint-checked against workers=1; the
-# >=2x speedup assertion applies only on hosts with 8+ CPUs (the script
-# says so when it skips). Compare snapshots with metricsdiff -bench.
-bench-snapshot:
-	sh scripts/bench.sh BENCH_parallel_engine.json
 
 # Regenerate the golden cycle totals after an INTENTIONAL timing change.
 golden:
@@ -132,27 +125,6 @@ experiments:
 	jq -e '.schema == "dsm96/run-manifest/v1" and ([.cells[] | select(.error != null and .error != "")] | length == 0)' \
 		"$$dir"/*-smoke/manifest.json >/dev/null; \
 	echo "experiments: ok"
-
-# Parallel-observability gate: the worker-parity matrix (Perfetto
-# timeline, run-metrics JSON, spans JSONL, rendered trace byte-identical
-# across worker counts, fingerprint equal to the uninstrumented run) and
-# the engine self-profiler's determinism contract, run under the race
-# detector; then the artifact-level proof through the real CLI — two
-# dsmsim runs of the same sharded configuration must carry the
-# dsm96/engine-profile/v1 schema tag and pass metricsdiff
-# -engine-profile (deterministic block exact, host block ignored).
-obsparity:
-	$(GO) test -race ./internal/core -count 1 \
-		-run 'TestObservabilityWorkerParity|TestObservabilityParityLargeMesh|TestEngineProfileDeterministic'
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/dsmsim -p 8 -app water -mode ipd -scale tiny -workers 4 \
-		-engine-profile "$$dir/a.json" >/dev/null; \
-	$(GO) run ./cmd/dsmsim -p 8 -app water -mode ipd -scale tiny -workers 4 \
-		-engine-profile "$$dir/b.json" >/dev/null; \
-	jq -e '.schema == "dsm96/engine-profile/v1" and .workers == 4 and (.deterministic.windows > 0)' \
-		"$$dir/a.json" >/dev/null; \
-	$(GO) run ./cmd/metricsdiff -engine-profile "$$dir/a.json" "$$dir/b.json"; \
-	echo "obsparity: ok"
 
 # Service gate: boot dsmserve on a throwaway store, submit the same job
 # twice through the built-in client, and require the second answer to be

@@ -1,13 +1,17 @@
 package core_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"dsm96/internal/apps"
 	"dsm96/internal/core"
 	"dsm96/internal/dsm"
 	"dsm96/internal/lrc"
 	"dsm96/internal/params"
+	"dsm96/internal/spans"
+	"dsm96/internal/timeline"
 	"dsm96/internal/tmk"
 	"dsm96/internal/trace"
 )
@@ -238,5 +242,150 @@ func TestTracerPlumbing(t *testing.T) {
 		if evs[i].Time < evs[i-1].Time {
 			t.Fatal("trace not chronological")
 		}
+	}
+}
+
+// deadlockApp wedges every processor but 0: they block forever on a
+// lock that processor 0 acquires and never releases. The sequential
+// oracle only runs processor 0's body, so the app itself is "correct";
+// the simulated run must be caught by the liveness machinery.
+type deadlockApp struct{ addr dsm.Addr }
+
+func (a *deadlockApp) Name() string { return "deadlock" }
+func (a *deadlockApp) Setup(h *lrc.Heap) {
+	a.addr = h.Alloc(8, 8)
+}
+func (a *deadlockApp) Body(env *dsm.Env) {
+	if env.ID == 0 {
+		env.Lock(0)
+		env.WI(a.addr, 1)
+		env.Compute(1000)
+		return // exits holding lock 0
+	}
+	env.Compute(2000)
+	env.Lock(0) // blocks forever
+	env.Unlock(0)
+}
+func (a *deadlockApp) Result() float64 { return 1 }
+
+// TestStallStructured: when the mesh wedges, core.Run returns the
+// partial result with a structured deadlock report naming the blocked
+// processors, never a hung process.
+func TestStallStructured(t *testing.T) {
+	res, err := core.Run(params.Default(), core.TM(tmk.Base), &deadlockApp{})
+	if err == nil {
+		t.Fatal("wedged run reported success")
+	}
+	if res == nil || res.Stall == nil {
+		t.Fatalf("no structured stall report (err: %v)", err)
+	}
+	if !res.Stall.Deadlock {
+		t.Errorf("stall not classified as deadlock: %+v", res.Stall)
+	}
+	if len(res.Stall.Report.Blocked) == 0 {
+		t.Error("stall report names no blocked processors")
+	}
+}
+
+// obsArtifacts is one fully-instrumented run's observable output: every
+// byte stream a user can ask dsmsim for, plus the schedule fingerprint.
+type obsArtifacts struct {
+	fingerprint uint64
+	perfetto    []byte
+	metrics     []byte
+	spansJSONL  []byte
+	traceText   string
+}
+
+// runInstrumented executes one 16-processor run with tracer, timeline
+// and spans attached and collects every artifact.
+func runInstrumented(t *testing.T, appName string, spec core.Spec) obsArtifacts {
+	t.Helper()
+	app, err := apps.Tiny(appName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := params.Default()
+	tracer := trace.New(1 << 14)
+	rec := timeline.NewRecorder(cfg.Processors)
+	tracker := spans.NewTracker(cfg.Processors)
+	spec.Tracer = tracer
+	spec.Timeline = rec
+	spec.Spans = tracker
+	res, err := core.Run(cfg, spec, app)
+	if err != nil {
+		t.Fatalf("%s: %v", appName, err)
+	}
+	out := obsArtifacts{fingerprint: res.EventFingerprint, traceText: tracer.String()}
+	var buf bytes.Buffer
+	if err := rec.WritePerfetto(&buf, tracer.Events()); err != nil {
+		t.Fatalf("perfetto: %v", err)
+	}
+	out.perfetto = bytes.Clone(buf.Bytes())
+	buf.Reset()
+	if err := res.Metrics().WriteJSON(&buf); err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	out.metrics = bytes.Clone(buf.Bytes())
+	buf.Reset()
+	if err := tracker.WriteJSONL(&buf); err != nil {
+		t.Fatalf("spans: %v", err)
+	}
+	out.spansJSONL = bytes.Clone(buf.Bytes())
+	return out
+}
+
+// TestObservabilityParity is the observability wall: with the full
+// instrumentation stack attached (trace buffer, timeline recorder,
+// span tracker) the schedule fingerprint must equal the uninstrumented
+// run's — observers never move an event — and a repeat run must
+// reproduce the Perfetto timeline, run-metrics JSON, spans JSONL, and
+// rendered trace byte for byte.
+func TestObservabilityParity(t *testing.T) {
+	type pt struct {
+		app  string
+		spec core.Spec
+		name string
+	}
+	points := []pt{
+		{"water", core.TM(tmk.Base), "water/Base"},
+		{"water", core.TM(tmk.IPD), "water/I+P+D"},
+		{"radix", core.TM(tmk.Base), "radix/Base"},
+		{"radix", core.TM(tmk.IPD), "radix/I+P+D"},
+	}
+	if testing.Short() {
+		points = points[:2]
+	}
+	for _, p := range points {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			app, err := apps.Tiny(p.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, err := core.Run(params.Default(), p.spec, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := runInstrumented(t, p.app, p.spec)
+			b := runInstrumented(t, p.app, p.spec)
+			if a.fingerprint != bare.EventFingerprint {
+				t.Errorf("instrumented fingerprint %016x, uninstrumented %016x",
+					a.fingerprint, bare.EventFingerprint)
+			}
+			if !bytes.Equal(a.perfetto, b.perfetto) {
+				t.Errorf("Perfetto timeline differs across repeats (%d vs %d bytes)", len(a.perfetto), len(b.perfetto))
+			}
+			if !bytes.Equal(a.metrics, b.metrics) {
+				t.Error("run-metrics JSON differs across repeats")
+			}
+			if !bytes.Equal(a.spansJSONL, b.spansJSONL) {
+				t.Errorf("spans JSONL differs across repeats (%d vs %d bytes)", len(a.spansJSONL), len(b.spansJSONL))
+			}
+			if a.traceText != b.traceText {
+				t.Error("rendered trace differs across repeats")
+			}
+		})
 	}
 }

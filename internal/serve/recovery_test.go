@@ -279,3 +279,33 @@ func TestStoreRecoveryProperty(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryIgnoresRetiredWorkers: a journal record whose embedded
+// spec still carries the retired engine-worker count ("workers") is
+// requeued and completed under its original key — the worker count
+// never entered the job identity, and recovery decodes leniently.
+func TestRecoveryIgnoresRetiredWorkers(t *testing.T) {
+	root := t.TempDir()
+	key := resolve(t, tinyJob("tsp", 2)).Key
+	st, err := OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := []byte(`{"schema":"dsm96/job/v1","app":"tsp","protocol":"Base","scale":"tiny","procs":2,"workers":4}`)
+	if err := st.PutRecord(&JobRecord{Schema: RecordSchema, Key: key, Spec: spec, State: StatePending}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(root, Options{Workers: 1,
+		Run: func(job *ResolvedJob) (*core.Result, error) { return fakeResult(job), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Drain()
+	rec, err := srv.Store().GetRecord(key)
+	if err != nil || rec == nil {
+		t.Fatalf("record %s lost in recovery (err %v)", key, err)
+	}
+	if rec.State != StateDone || rec.Result == nil {
+		t.Fatalf("recovered job rests in state %s, want %s with a result", rec.State, StateDone)
+	}
+}

@@ -447,3 +447,32 @@ func TestArtifactNotFound(t *testing.T) {
 		t.Fatalf("missing artifact answered %d", resp.StatusCode)
 	}
 }
+
+// TestServerSubmitRejects is the HTTP rejection matrix: a malformed
+// submission answers 400 and queues nothing. Job specs are decoded
+// strictly, so a field the format does not have — including the
+// retired engine-worker count — is refused rather than ignored.
+func TestServerSubmitRejects(t *testing.T) {
+	srv, hs, _ := newTestServer(t, Options{Workers: 1, Run: func(job *ResolvedJob) (*core.Result, error) {
+		return fakeResult(job), nil
+	}})
+	cases := map[string]string{
+		"workers":       `{"schema":"dsm96/job/v1","app":"tsp","protocol":"Base","scale":"tiny","workers":4}`,
+		"unknown field": `{"schema":"dsm96/job/v1","app":"tsp","protocol":"Base","frobnicate":true}`,
+		"not json":      `{"schema":`,
+		"bad app":       `{"schema":"dsm96/job/v1","app":"doom","protocol":"Base"}`,
+	}
+	for name, body := range cases {
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if recs, err := srv.Store().ListRecords(); err != nil || len(recs) != 0 {
+		t.Errorf("rejected submissions journaled %d record(s) (err %v)", len(recs), err)
+	}
+}

@@ -36,26 +36,21 @@ type Proc struct {
 }
 
 // NewProc registers a process whose body will start executing at time
-// `start`. The body runs to completion; the process is then done.
-//
-// On a parallelized engine the process is bound to the view owning node
-// `id` — its wake events, parks, and resumes all go through that shard —
-// while remaining registered with the root for deadlock and stall
-// reports. On a sequential engine the view is the engine itself.
+// `start`. The body runs to completion; the process is then done. id
+// names the process in deadlock and stall reports.
 func (e *Engine) NewProc(id int, name string, start Time, body func(*Proc)) *Proc {
-	ve := e.View(id)
-	p := &Proc{ID: id, Name: name, eng: ve, wake: make(chan struct{})}
+	p := &Proc{ID: id, Name: name, eng: e, wake: make(chan struct{})}
 	p.resumeFn = p.resume
 	e.procs = append(e.procs, p)
-	ve.At(start, func() {
-		ve.progressed()
+	e.At(start, func() {
+		e.progressed()
 		go func() {
 			body(p)
 			p.done = true
-			ve.handoff <- struct{}{} // return control to engine forever
+			e.handoff <- struct{}{} // return control to engine forever
 		}()
-		ve.handoffs++
-		<-ve.handoff // wait for the body to park or finish
+		e.handoffs++
+		<-e.handoff // wait for the body to park or finish
 	})
 	return p
 }

@@ -158,10 +158,7 @@ type lockReq struct {
 type pnode struct {
 	id int
 	pr *Protocol
-	// eng is the engine view owning this node: the shard engine on a
-	// parallelized run, the (single) engine otherwise. Every event this
-	// node schedules, every clock it reads, and every gate it opens in
-	// its own execution context goes through this view.
+	// eng is the simulation engine (pr.eng, shared by every node).
 	eng    *sim.Engine
 	mem    *memsys.Node
 	fp     *memsys.FastPath
@@ -169,10 +166,6 @@ type pnode struct {
 	st     *stats.ProcStats
 	proc   *sim.Proc
 	frames *lrc.Frames
-	// profiles is this node's share of the per-page activity profile,
-	// merged across nodes by PageProfiles (shard-local on a parallel
-	// engine, so concurrent windows never write a shared record).
-	profiles map[int]*stats.PageProfile
 
 	// degraded marks a controller failover: the node has permanently
 	// fallen back to inline software protocol handling (see degrade.go).
@@ -252,18 +245,16 @@ func New(cfg *params.Config, eng *sim.Engine, net *network.Network, mode Mode) *
 		heap: lrc.NewHeap(cfg.PageSize),
 		mode: mode,
 		bars: make(map[int]*barrier),
+
+		profiles: make(map[int]*stats.PageProfile),
 	}
 	for i := 0; i < cfg.Processors; i++ {
-		// The node's whole memory system and protocol state live on its
-		// engine view — the owning shard when the engine is parallelized.
-		view := eng.View(i)
-		mem := memsys.NewNode(i, cfg, view)
+		mem := memsys.NewNode(i, cfg, eng)
 		n := &pnode{
 			id:             i,
 			pr:             pr,
-			eng:            view,
+			eng:            eng,
 			mem:            mem,
-			profiles:       make(map[int]*stats.PageProfile),
 			fp:             memsys.NewFastPath(mem),
 			st:             &stats.ProcStats{},
 			frames:         lrc.NewFrames(cfg.PageSize),
@@ -322,44 +313,27 @@ func (pr *Protocol) InstallProc(id int, p *sim.Proc) {
 // NodeStats returns processor id's accounting.
 func (pr *Protocol) NodeStats(id int) *stats.ProcStats { return pr.nodes[id].st }
 
-// profile returns this node's record for a page.
-func (n *pnode) profile(pg int) *stats.PageProfile {
-	p, ok := n.profiles[pg]
+// profile returns the aggregate record for a page.
+func (pr *Protocol) profile(pg int) *stats.PageProfile {
+	p, ok := pr.profiles[pg]
 	if !ok {
 		p = &stats.PageProfile{Page: pg}
-		n.profiles[pg] = p
+		pr.profiles[pg] = p
 	}
 	return p
 }
 
-// PageProfiles implements stats.PageProfiler: per-page activity merged
-// across all nodes' shares, sorted by page number.
+// PageProfiles implements stats.PageProfiler: per-page activity sorted
+// by page number.
 func (pr *Protocol) PageProfiles() []stats.PageProfile {
-	merged := make(map[int]*stats.PageProfile)
-	for _, n := range pr.nodes {
-		for pg, p := range n.profiles {
-			m, ok := merged[pg]
-			if !ok {
-				m = &stats.PageProfile{Page: pg}
-				merged[pg] = m
-			}
-			m.Faults += p.Faults
-			m.WriteFaults += p.WriteFaults
-			m.Invalidations += p.Invalidations
-			m.DiffsApplied += p.DiffsApplied
-			m.WordsApplied += p.WordsApplied
-			m.Writers |= p.Writers
-			m.Readers |= p.Readers
-		}
-	}
-	pages := make([]int, 0, len(merged))
-	for pg := range merged {
+	pages := make([]int, 0, len(pr.profiles))
+	for pg := range pr.profiles {
 		pages = append(pages, pg)
 	}
 	sort.Ints(pages)
 	out := make([]stats.PageProfile, 0, len(pages))
 	for _, pg := range pages {
-		out = append(out, *merged[pg])
+		out = append(out, *pr.profiles[pg])
 	}
 	return out
 }
@@ -488,7 +462,7 @@ func (n *pnode) access(p *sim.Proc, addr int64, write bool, size int, commit fun
 	}
 	if write {
 		if n.id < 64 {
-			n.profile(pg).Writers |= 1 << uint(n.id)
+			n.pr.profile(pg).Writers |= 1 << uint(n.id)
 		}
 		commit()
 		if n.writeThrough() || pe.vecLive {
@@ -506,7 +480,7 @@ func (n *pnode) access(p *sim.Proc, addr int64, write bool, size int, commit fun
 		}
 	} else {
 		if n.id < 64 {
-			n.profile(pg).Readers |= 1 << uint(n.id)
+			n.pr.profile(pg).Readers |= 1 << uint(n.id)
 		}
 		n.fp.Read(p, addr, n.st)
 	}
@@ -603,7 +577,7 @@ func (n *pnode) serveCPUSpan(cost sim.Time, op *spans.Op, fn func()) {
 	n.st.Interrupts++
 	total := n.pr.cfg.InterruptTime + cost
 	start, end := n.cpu.Reserve(n.eng, total)
-	op.Mark(n.eng, spans.StageQueue, start)
-	op.Mark(n.eng, spans.StageRemote, end)
+	op.Mark(spans.StageQueue, start)
+	op.Mark(spans.StageRemote, end)
 	n.eng.At(end, fn)
 }
